@@ -53,6 +53,17 @@ RUNGS = ("live", "cache", "demographic", "static")
 # failures that push a query down one rung instead of surfacing
 _RUNG_FAILURES = (ResilienceError, TDStoreError)
 
+# how many recent entries QueryLog keeps in ``displayed`` and
+# ``rung_history``; the counters stay exact, only the per-query tails
+# are bounded so a long-running front end does not grow per query
+QUERY_LOG_TAIL = 1000
+
+
+def _append_tail(tail: list, entry) -> None:
+    tail.append(entry)
+    if len(tail) > QUERY_LOG_TAIL:
+        del tail[0]
+
 
 @dataclass
 class QueryLog:
@@ -67,12 +78,16 @@ class QueryLog:
     # browned-out store) — the retrieval cold-start health signal
     vq_fallbacks: int = 0
     rungs: dict[str, int] = field(default_factory=dict)
+    # the last QUERY_LOG_TAIL answers shown and rungs taken, oldest first
     displayed: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
     rung_history: list[str] = field(default_factory=list)
 
     def record_rung(self, rung: str):
         self.rungs[rung] = self.rungs.get(rung, 0) + 1
-        self.rung_history.append(rung)
+        _append_tail(self.rung_history, rung)
+
+    def record_display(self, user_id: str, items: tuple[str, ...]):
+        _append_tail(self.displayed, (user_id, items))
 
     def degraded_fraction(self) -> float:
         """Fraction of queries served below the live rung."""
@@ -380,8 +395,8 @@ class RecommenderFrontEnd:
         self.log.record_rung(rung)
         if results:
             self.log.served += 1
-            self.log.displayed.append(
-                (user_id, tuple(r.item_id for r in results))
+            self.log.record_display(
+                user_id, tuple(r.item_id for r in results)
             )
             self._record_impressions(user_id, results, now)
         else:

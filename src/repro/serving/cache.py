@@ -110,8 +110,8 @@ class ResultCache:
             self._by_tag.setdefault(tag, set()).add(key)
         self.fills += 1
         while len(self._entries) > self._capacity:
-            evicted_key, __ = self._entries.popitem(last=False)
-            self._unindex(evicted_key)
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self._unindex(evicted_key, evicted)
             self.evictions += 1
 
     def on_invalidation(self, kind: str, state_key: str):
@@ -143,18 +143,19 @@ class ResultCache:
         }
 
     def _drop(self, key: Hashable):
-        if key in self._entries:
-            self._entries.pop(key)
-            self._unindex(key)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._unindex(key, entry)
 
-    def _unindex(self, key: Hashable):
-        empty = []
-        for tag, keys in self._by_tag.items():
+    def _unindex(self, key: Hashable, entry: CacheEntry):
+        """Remove ``key`` from the index sets of its own tags only."""
+        for tag in entry.tags:
+            keys = self._by_tag.get(tag)
+            if keys is None:
+                continue
             keys.discard(key)
             if not keys:
-                empty.append(tag)
-        for tag in empty:
-            self._by_tag.pop(tag)
+                del self._by_tag[tag]
 
 
 class HotListCache:

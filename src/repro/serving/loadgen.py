@@ -12,6 +12,7 @@ would understate both.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -80,10 +81,14 @@ class ClosedLoopLoadGenerator:
         self._rng.shuffle(ranked)
         weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(ranked))]
         self._ranked = ranked
-        self._weights = weights
+        # ``choices(weights=...)`` re-accumulates on every call, O(users)
+        # per draw; the running sums are fixed, so build them once
+        self._cum_weights = list(itertools.accumulate(weights))
 
     def next_user(self) -> str:
-        return self._rng.choices(self._ranked, weights=self._weights, k=1)[0]
+        return self._rng.choices(
+            self._ranked, cum_weights=self._cum_weights, k=1
+        )[0]
 
     def query_stream(self, num_queries: int) -> list[tuple[str, int]]:
         return [(self.next_user(), self._n) for __ in range(num_queries)]

@@ -487,32 +487,40 @@ class TDStoreClient:
 
     def put(self, key: str, value: Any):
         def op(server_id: int, instance: int):
-            record = self._config.server(server_id).put(instance, key, value)
-            self._sync_to_slave(instance, record)
+            records = self._config.server(server_id).put(instance, key, value)
+            self._sync_to_slave(instance, records)
             return None
 
         return self._with_failover(key, op)
 
     def delete(self, key: str):
         def op(server_id: int, instance: int):
-            record = self._config.server(server_id).delete(instance, key)
-            self._sync_to_slave(instance, record)
+            records = self._config.server(server_id).delete(instance, key)
+            self._sync_to_slave(instance, records)
             return None
 
         return self._with_failover(key, op)
 
-    def _sync_to_slave(self, instance: int, record: Any):
-        # the host forwards the record to its slave; it always knows the
+    def _sync_to_slave(self, instance: int, records: list):
+        """Forward one mutation's sync records in a single call per replica.
+
+        A replicated write therefore costs one host op plus one sync op
+        (and one more to a migration target during its dual-write
+        window), however many records the mutation produced.
+        """
+        if not records:
+            return
+        # the host forwards the records to its slave; it always knows the
         # *current* slave. The epoch-checked cached table is identical to
         # the authoritative one whenever the epochs match, so this stays
         # a local lookup instead of a per-mutation table download.
         self._maybe_refresh()
         route = self._table.route(instance)
         try:
-            # a downed slave rejects the record; skipping it is the same
+            # a downed slave rejects the records; skipping it is the same
             # decision a liveness pre-check would make, without spending
             # a round trip on remote replicas to find out
-            self._config.server(route.slave).enqueue_sync(instance, record)
+            self._config.server(route.slave).enqueue_sync(instance, records)
         except DataServerDownError:
             pass
         # dual-write window of a live migration: the catch-up target
@@ -522,7 +530,7 @@ class TDStoreClient:
         target_id = self._config.migration_target(instance)
         if target_id is not None and target_id != route.slave:
             try:
-                self._config.server(target_id).enqueue_sync(instance, record)
+                self._config.server(target_id).enqueue_sync(instance, records)
             except DataServerDownError:
                 pass
 
@@ -549,8 +557,7 @@ class TDStoreClient:
             new_version, records = self._config.server(server_id).check_and_set(
                 instance, key, value, expected_version
             )
-            for record in records:
-                self._sync_to_slave(instance, record)
+            self._sync_to_slave(instance, records)
             return new_version
 
         return self._with_failover(key, op)
@@ -566,8 +573,7 @@ class TDStoreClient:
             value, applied, records = self._config.server(server_id).apply_op(
                 instance, key, op_id, delta
             )
-            for record in records:
-                self._sync_to_slave(instance, record)
+            self._sync_to_slave(instance, records)
             return value, applied
 
         value, applied = self._with_failover(key, op)
@@ -591,8 +597,7 @@ class TDStoreClient:
             applied, records = self._config.server(server_id).put_once(
                 instance, key, op_id, value
             )
-            for record in records:
-                self._sync_to_slave(instance, record)
+            self._sync_to_slave(instance, records)
             return applied
 
         applied = self._with_failover(key, op)
@@ -626,8 +631,7 @@ class TDStoreClient:
             recorded, records = self._config.server(server_id).record_once(
                 instance, key, op_id
             )
-            for record in records:
-                self._sync_to_slave(instance, record)
+            self._sync_to_slave(instance, records)
             return recorded
 
         recorded = self._with_failover(key, op)

@@ -212,21 +212,21 @@ class TDStoreDataServer:
         self.replica_reads += 1
         return engine.multi_get(keys, default)
 
-    def put(self, instance: int, key: str, value: Any) -> SyncRecord:
+    def put(self, instance: int, key: str, value: Any) -> list[SyncRecord]:
         engine = self.engine(instance)
         self._check_host(instance)
         self._check_degraded()
         engine.put(key, value)
         self.writes += 1
-        return SyncRecord(_PUT, key, value)
+        return [SyncRecord(_PUT, key, value)]
 
-    def delete(self, instance: int, key: str) -> SyncRecord:
+    def delete(self, instance: int, key: str) -> list[SyncRecord]:
         engine = self.engine(instance)
         self._check_host(instance)
         self._check_degraded()
         engine.delete(key)
         self.writes += 1
-        return SyncRecord(_DELETE, key)
+        return [SyncRecord(_DELETE, key)]
 
     # -- transactional host operations --------------------------------------
     #
@@ -325,8 +325,12 @@ class TDStoreDataServer:
 
     # -- slave-side replication ----------------------------------------------
 
-    def enqueue_sync(self, instance: int, record: SyncRecord):
-        """Host notified us of an update; apply later, when idle.
+    def enqueue_sync(self, instance: int, records: list[SyncRecord]):
+        """Host notified us of one mutation; apply later, when idle.
+
+        ``records`` are every sync record of that mutation (value, then
+        journal and version meta keys), queued in order by one call —
+        on the process substrate, one RPC and one WAL record.
 
         A downed replica rejects records — the replicator treats the
         rejection as "skip this replica", the same outcome as checking
@@ -334,7 +338,7 @@ class TDStoreDataServer:
         """
         self._check_alive()
         self.ensure_instance(instance)
-        self._sync_inbox[instance].append(record)
+        self._sync_inbox[instance].extend(records)
 
     def pending_syncs(self, instance: int | None = None) -> int:
         if instance is not None:

@@ -10,7 +10,7 @@ from repro.tdstore.cluster import TDStoreCluster
 from repro.topology.state import StateKeys
 from repro.utils.clock import SimClock
 
-from repro.engine.front_end import RUNGS, RecommenderFrontEnd
+from repro.engine.front_end import QUERY_LOG_TAIL, RUNGS, RecommenderFrontEnd
 
 USER = "u1"
 
@@ -131,3 +131,19 @@ class TestAdmissionAndAccounting:
         front_end.query("nobody", 2, 0.0)  # hot complement still answers
         log = front_end.log
         assert sum(log.rungs.values()) == log.queries == 2
+
+
+class TestQueryLogTail:
+    def test_tails_are_bounded_and_counters_exact(self):
+        store = seeded_store()
+        engine = RecommenderEngine(store.client(), EngineConfig())
+        front_end = RecommenderFrontEnd(engine)
+        queries = 10_000
+        for index in range(queries):
+            front_end.query(USER, 2, float(index))
+        log = front_end.log
+        assert log.queries == log.served == queries
+        assert log.rungs == {"live": queries}
+        assert len(log.rung_history) == QUERY_LOG_TAIL
+        assert len(log.displayed) == QUERY_LOG_TAIL
+        assert log.displayed[-1] == (USER, ("i2", "i3"))

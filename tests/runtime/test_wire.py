@@ -19,9 +19,9 @@ from repro.runtime.wire import (
     Response,
     StreamDecoder,
     corrupt_frame,
-    crc32c,
     encode_error,
     encode_frame,
+    frame_crc,
     sanitize_exception,
 )
 
@@ -66,10 +66,10 @@ class TestFraming:
 
 
 class TestChecksums:
-    def test_crc32c_known_vector(self):
-        # the canonical Castagnoli check value (RFC 3720 appendix / iSCSI)
-        assert crc32c(b"123456789") == 0xE3069283
-        assert crc32c(b"") == 0
+    def test_frame_crc_known_vector(self):
+        # the canonical CRC-32/IEEE check value (zlib, Ethernet, PNG)
+        assert frame_crc(b"123456789") == 0xCBF43926
+        assert frame_crc(b"") == 0
 
     def test_flipped_payload_bit_raises_frame_corruption_error(self):
         frame = corrupt_frame(encode_frame({"k": "v"}))

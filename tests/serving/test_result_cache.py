@@ -131,3 +131,38 @@ class TestHotListCache:
         cache.put("male", {"i1": 2.0})
         cache.on_invalidation("item", "male")
         assert cache.get("male") == {"i1": 2.0}
+
+
+class TestTagIndex:
+    def test_index_names_only_live_keys_after_evictions_and_re_puts(self):
+        cache, __ = cache_with_clock(capacity=8)
+        for round_ in range(200):
+            key = f"q{round_ % 23}"
+            tags = (("user", f"u{round_ % 23}"), ("item", f"i{round_ % 5}"))
+            cache.put(key, [round_], tags=tags)
+        assert cache.stats()["evictions"] > 0
+        indexed = set().union(*cache._by_tag.values())
+        assert indexed == set(cache._entries)
+        for key, entry in cache._entries.items():
+            for tag in entry.tags:
+                assert key in cache._by_tag[tag]
+        # a re-put under new tags leaves nothing behind under the old ones
+        key = next(iter(cache._entries))
+        old_tags = cache._entries[key].tags
+        cache.put(key, ["x"], tags=(("user", "other"),))
+        for tag in old_tags:
+            assert key not in cache._by_tag.get(tag, ())
+        assert cache._by_tag[("user", "other")] == {key}
+
+    def test_invalidation_after_churn_stales_exactly_the_tagged(self):
+        cache, __ = cache_with_clock(capacity=8)
+        for round_ in range(200):
+            cache.put(f"q{round_ % 23}", [round_],
+                      tags=(("item", f"i{round_ % 5}"),))
+        tagged = {key for key, entry in cache._entries.items()
+                  if ("item", "i3") in entry.tags}
+        assert tagged
+        cache.on_invalidation("item", "i3")
+        stale = {key for key, entry in cache._entries.items() if entry.stale}
+        assert stale == tagged
+        assert cache.stats()["invalidations"] == len(tagged)
